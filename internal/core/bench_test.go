@@ -9,8 +9,8 @@ import (
 	"repro/internal/texture"
 )
 
-func benchProblem(b *testing.B) Problem {
-	b.Helper()
+func benchProblem(tb testing.TB) Problem {
+	tb.Helper()
 	lib, err := texture.Build(texture.Config{
 		Grid:            geo.MustGrid(10),
 		Specs:           orbit.EnumerateRepeatSpecs(1, 500e3, 1873e3),
@@ -18,7 +18,7 @@ func benchProblem(b *testing.B) Problem {
 		RAANs:           8, Phases: 3, Slots: 8, SlotSeconds: 900, SubSamples: 2,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d := demand.StarlinkCustomers(demand.ScenarioOptions{
 		Grid: lib.Grid, Slots: lib.Slots, SlotSeconds: lib.SlotSeconds,

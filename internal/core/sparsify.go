@@ -16,9 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -57,8 +55,6 @@ type Problem struct {
 	// a single track (0 = 1, pure greedy — measurably sparser solutions;
 	// raise it to trade solution quality for solver speed).
 	MaxAddPerIteration int
-	// Parallelism bounds the argmax scan workers (0 = NumCPU).
-	Parallelism int
 	// DisablePrune skips the backward-elimination refinement pass that
 	// removes satellites the greedy selection over-provisioned (the
 	// pruning idea of CoSaMP [22], which the paper's Algorithm 1 builds
@@ -230,7 +226,21 @@ type solverState struct {
 	residual []float64 // clamped at ≥ 0
 	total    float64   // ‖ỹ‖₁
 	remain   float64   // ‖r‖₁
-	workers  int
+	version  int       // bumped by every apply
+	bounds   []bound   // lazy max-heap over all tracks, see argmax
+}
+
+// bound is one track's entry in the lazy argmax heap: its score against
+// the residual at version, an upper bound on its current score.
+type bound struct {
+	j                       int
+	version                 int
+	satisfiable, dot, norm2 float64
+}
+
+// above orders the heap: higher score first, lower track index on ties.
+func (a bound) above(b bound) bool {
+	return a.satisfiable > b.satisfiable || (a.satisfiable == b.satisfiable && a.j < b.j)
 }
 
 func newSolverState(p Problem) *solverState {
@@ -242,15 +252,12 @@ func newSolverState(p Problem) *solverState {
 		st.total += v
 	}
 	st.remain = st.total
-	st.workers = p.Parallelism
-	if st.workers <= 0 {
-		st.workers = runtime.NumCPU()
-	}
 	return st
 }
 
 // apply places x satellites on track j, decrementing the clamped residual.
 func (st *solverState) apply(j, x int) {
+	st.version++
 	fx := float64(x)
 	st.p.Library.TrackRow(j, func(k int, frac float64) {
 		r := st.residual[k]
@@ -301,9 +308,10 @@ func (st *solverState) run(res *Result) error {
 
 	span := obs.StartSpan("core.sparsify", "tracks", strconv.Itoa(n))
 	defer span.End()
+	st.buildHeap(n)
 	for res.Iterations < maxIter && st.remain > target+1e-9 {
 		iterStart := time.Now()
-		j, satisfiable, dot, norm2 := st.argmax(n)
+		j, satisfiable, dot, norm2 := st.argmax()
 		if satisfiable <= 1e-12 {
 			res.Availability = st.availability()
 			return fmt.Errorf("%w: %.4f of demand satisfied", ErrNoProgress, res.Availability)
@@ -366,52 +374,56 @@ func (st *solverState) availability() float64 {
 	return 1 - st.remain/st.total
 }
 
-// argmax scans all tracks in parallel for the one whose single satellite
-// satisfies the most residual demand (Algorithm 1 lines 6–7, parallelized
-// as in §5 "we have also parallelized Algorithm 1's demand matching of all
-// orbit candidates").
-func (st *solverState) argmax(n int) (best int, satisfiable, dot, norm2 float64) {
-	type cand struct {
-		j                      int
-		satisfiable, dot, norm float64
+// buildHeap scores every track once against the current residual and
+// heapifies the scores.
+func (st *solverState) buildHeap(n int) {
+	st.bounds = make([]bound, n)
+	for j := range st.bounds {
+		s, d, nn := st.score(j)
+		st.bounds[j] = bound{j: j, version: st.version, satisfiable: s, dot: d, norm2: nn}
 	}
-	workers := st.workers
-	if workers > n {
-		workers = n
+	for i := n/2 - 1; i >= 0; i-- {
+		st.siftDown(i)
 	}
-	results := make([]cand, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			local := cand{j: -1}
-			for j := lo; j < hi; j++ {
-				s, d, nn := st.score(j)
-				if s > local.satisfiable {
-					local = cand{j: j, satisfiable: s, dot: d, norm: nn}
-				}
-			}
-			results[w] = local
-		}(w)
+}
+
+// argmax returns the track whose single satellite satisfies the most
+// residual demand, the lowest index on ties (Algorithm 1 lines 6–7). It
+// evaluates lazily (Minoux): the residual only ever falls, so each term
+// min(A_jk, r_k) can only fall, and so can their floating-point sum in
+// TrackRow order — a stale score is an upper bound on the current one.
+// Once the top of the heap is scored against the current residual it
+// beats every bound below it, ties included, since the heap orders equal
+// scores by track index. That is the exact argmax after a few rescorings,
+// not a library scan.
+func (st *solverState) argmax() (best int, satisfiable, dot, norm2 float64) {
+	for st.bounds[0].version != st.version {
+		top := &st.bounds[0]
+		top.satisfiable, top.dot, top.norm2 = st.score(top.j)
+		top.version = st.version
+		st.siftDown(0)
 	}
-	wg.Wait()
-	bestCand := cand{j: -1}
-	for _, c := range results {
-		if c.j >= 0 && (bestCand.j < 0 || c.satisfiable > bestCand.satisfiable ||
-			(c.satisfiable == bestCand.satisfiable && c.j < bestCand.j)) {
-			bestCand = c
+	top := st.bounds[0]
+	return top.j, top.satisfiable, top.dot, top.norm2
+}
+
+// siftDown moves entry i down the heap until its children sit below it.
+func (st *solverState) siftDown(i int) {
+	h := st.bounds
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
+		if c+1 < len(h) && h[c+1].above(h[c]) {
+			c++
+		}
+		if !h[c].above(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	if bestCand.j < 0 {
-		return 0, 0, 0, 1
-	}
-	return bestCand.j, bestCand.satisfiable, bestCand.dot, bestCand.norm
 }
 
 // Verify recomputes availability of a result against a demand vector from

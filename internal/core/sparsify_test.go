@@ -253,7 +253,7 @@ func TestSolverDeterministic(t *testing.T) {
 		Grid: lib.Grid, Slots: lib.Slots, SlotSeconds: lib.SlotSeconds,
 		TotalSatUnits: 80,
 	})
-	p := Problem{Library: lib, Demand: d.Y, Epsilon: 0.9, Parallelism: 4}
+	p := Problem{Library: lib, Demand: d.Y, Epsilon: 0.9}
 	a, err := Sparsify(p)
 	if err != nil {
 		t.Fatal(err)

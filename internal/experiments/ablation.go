@@ -40,7 +40,6 @@ func AblationSolver(scale Scale, lib *texture.Library) (*metrics.Table, error) {
 			res, err := core.Sparsify(core.Problem{
 				Library: lib, Demand: dem.Y, Epsilon: scale.Epsilon,
 				MaxAddPerIteration: maxAdd, DisablePrune: !prune,
-				Parallelism: scale.Parallelism,
 			})
 			if err != nil {
 				return nil, err
@@ -76,7 +75,7 @@ func AblationLibraryRichness(scale Scale) (*metrics.Table, error) {
 		// A deliberately achievable target: the poorest library in the
 		// sweep cannot reach the headline ε, which is itself the point.
 		res, err := core.Sparsify(core.Problem{
-			Library: lib, Demand: dem.Y, Epsilon: 0.75, Parallelism: s.Parallelism,
+			Library: lib, Demand: dem.Y, Epsilon: 0.75,
 		})
 		if err != nil {
 			return nil, err
@@ -162,7 +161,7 @@ func DiscussionFederation(scale Scale, lib *texture.Library) (*metrics.Table, er
 		{Name: "emea", Demand: regionOf(-35, 60, -15, 60), Epsilon: eps},
 		{Name: "apac", Demand: regionOf(-45, 55, 60, 180), Epsilon: eps},
 	}
-	fed, err := core.Federate(core.Problem{Library: lib, Parallelism: scale.Parallelism}, ops)
+	fed, err := core.Federate(core.Problem{Library: lib}, ops)
 	if err != nil {
 		return nil, err
 	}

@@ -70,14 +70,12 @@ func RunSparsification(scale Scale, lib *texture.Library) ([]*SparsifyOutcome, e
 		var err error
 		out.TinyLEO, err = core.Sparsify(core.Problem{
 			Library: lib, Demand: dem.Y, Epsilon: scale.Epsilon,
-			Parallelism: scale.Parallelism,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sparsify %s: %w", dem.Name, err)
 		}
 		out.TinyLEORelaxed, err = core.Sparsify(core.Problem{
 			Library: lib, Demand: dem.Y, Epsilon: scale.RelaxedEpsilon,
-			Parallelism: scale.Parallelism,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sparsify relaxed %s: %w", dem.Name, err)
@@ -247,7 +245,7 @@ func Figure15d(scale Scale, lib *texture.Library) (*metrics.Table, error) {
 	baselineSats := map[float64]int{}
 	for _, r := range runs {
 		res, err := core.Sparsify(core.Problem{
-			Library: lib, Demand: r.dem.Y, Epsilon: r.eps, Parallelism: scale.Parallelism,
+			Library: lib, Demand: r.dem.Y, Epsilon: r.eps,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig15d %s: %w", r.name, err)

@@ -288,6 +288,14 @@ func (c *Controller) serve(conn net.Conn) {
 		switch m.Type {
 		case MsgHello:
 			satID = m.SatID
+			// The ack is counted before the registration is published and
+			// written after it: whoever sees this satellite registered
+			// (AgentCount, the connected gauge) also sees its hello-ack in
+			// the tx counters, and an agent that got its ack is routable.
+			// An ack whose write fails is counted all the same; the
+			// connection is then dropped and the satellite deregistered.
+			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq}
+			c.countTx(ack)
 			c.mu.Lock()
 			c.agents[satID] = conn
 			c.hellos[satID]++
@@ -315,11 +323,9 @@ func (c *Controller) serve(conn net.Conn) {
 					"sat", strconv.FormatUint(uint64(satID), 10),
 					"addr", conn.RemoteAddr().String())
 			}
-			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq}
 			if err := c.writeTo(conn, ack); err != nil {
 				return
 			}
-			c.countTx(ack)
 			c.deliverResends(resends)
 			if c.OnRegister != nil {
 				c.OnRegister(satID)

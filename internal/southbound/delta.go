@@ -132,8 +132,11 @@ type DeltaEnforcer struct {
 	mu sync.Mutex
 	//tinyleo:guardedby mu
 	desired map[uint32]map[uint32]struct{} // sat → desired ISL peer set
+	// synced holds the satellites that may receive per-op deltas, each
+	// with the registration (Controller.Registrations) its last snapshot
+	// went out in.
 	//tinyleo:guardedby mu
-	synced map[uint32]bool // sat may receive per-op deltas
+	synced map[uint32]uint64
 
 	deltaMsgs *obs.Counter
 	snapMsgs  *obs.Counter
@@ -148,7 +151,7 @@ func NewDeltaEnforcer(c *Controller) *DeltaEnforcer {
 	e := &DeltaEnforcer{
 		c:         c,
 		desired:   map[uint32]map[uint32]struct{}{},
-		synced:    map[uint32]bool{},
+		synced:    map[uint32]uint64{},
 		deltaMsgs: c.reg.Counter(MetricDeltaMessages, "kind", "delta"),
 		snapMsgs:  c.reg.Counter(MetricDeltaMessages, "kind", "snapshot"),
 		opsSent:   c.reg.Counter(MetricDeltaOps),
@@ -157,7 +160,14 @@ func NewDeltaEnforcer(c *Controller) *DeltaEnforcer {
 	}
 	prevRegister := c.OnRegister
 	c.OnRegister = func(satID uint32) {
-		e.MarkUnsynced(satID)
+		// The hook runs after the hello-ack, so a push may already have
+		// re-synced this registration; only an older sync is dropped.
+		reg := c.Registrations(satID)
+		e.mu.Lock()
+		if r, ok := e.synced[satID]; ok && r < reg {
+			delete(e.synced, satID)
+		}
+		e.mu.Unlock()
 		if prevRegister != nil {
 			prevRegister(satID)
 		}
@@ -203,6 +213,7 @@ func (e *DeltaEnforcer) Desired(sat uint32) []uint32 {
 // fine). On a send error the satellite is marked unsynced so the next
 // push re-syncs it.
 func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, trace obs.SpanContext) error {
+	reg := e.c.Registrations(sat)
 	e.mu.Lock()
 	d := e.desired[sat]
 	if d == nil {
@@ -222,7 +233,7 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 			ops = append(ops, SlotDeltaOp{Peer: p, Up: true})
 		}
 	}
-	synced := e.synced[sat]
+	_, synced := e.synced[sat]
 	if synced && len(ops) == 0 {
 		e.mu.Unlock()
 		return nil
@@ -238,7 +249,7 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 		m.Payload = EncodeSlotSnapshot(sortedPeers(d))
 		e.snapMsgs.Inc()
 		e.resyncs.Inc()
-		e.synced[sat] = true
+		e.synced[sat] = reg
 	}
 	e.bytesSent.Add(int64(len(m.Payload)))
 	e.mu.Unlock()

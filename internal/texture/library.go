@@ -2,7 +2,7 @@
 // library (paper §4.1, Table 1): an over-complete set of candidate orbital
 // slots, each with its spatiotemporal coverage over the geographic cell
 // grid, stored track-major in CSR form so the synthesizer's matching
-// pursuit can scan candidate columns in parallel.
+// pursuit can score any candidate from its own row.
 package texture
 
 import (
@@ -138,14 +138,6 @@ func Build(cfg Config) (*Library, error) {
 	if len(tracks) == 0 {
 		return nil, fmt.Errorf("texture: all candidates filtered out")
 	}
-	lib := &Library{
-		Grid:        cfg.Grid,
-		Tracks:      tracks,
-		Slots:       cfg.Slots,
-		SlotSeconds: cfg.SlotSeconds,
-		Coverage:    cfg.Coverage,
-	}
-
 	m := cfg.Grid.NumCells()
 	rows := make([][]int32, len(tracks))
 	vals := make([][]float64, len(tracks))
@@ -162,9 +154,23 @@ func Build(cfg Config) (*Library, error) {
 	}
 	wg.Wait()
 
-	// Assemble CSR directly; rows are already sorted by construction.
-	lib.mat = sparse.FromRows(len(tracks), cfg.Slots*m, rows, vals)
+	lib := FromRows(cfg.Grid, cfg.Slots, cfg.SlotSeconds, tracks, rows, vals)
+	lib.Coverage = cfg.Coverage
 	return lib, nil
+}
+
+// FromRows assembles a library from per-track coverage rows over the
+// unfolded slot*m+cell space: cols[j] holds track j's indices in strictly
+// increasing order and vals[j] its capacity fractions. Build computes the
+// rows from orbital geometry; FromRows also takes synthetic coverage.
+func FromRows(grid *geo.Grid, slots int, slotSeconds float64, tracks []Track, cols [][]int32, vals [][]float64) *Library {
+	return &Library{
+		Grid:        grid,
+		Tracks:      tracks,
+		Slots:       slots,
+		SlotSeconds: slotSeconds,
+		mat:         sparse.FromRows(len(tracks), slots*grid.NumCells(), cols, vals),
+	}
 }
 
 // coverageRow computes one track's unfolded coverage: sorted column indices
