@@ -3,13 +3,14 @@
 // orbital MPC every control slot, pushes ISL/ring configuration to the
 // connected satellite agents, and repairs reported failures (§4.2, §5).
 //
-// Slots are compiled by the horizon planner: -workers goroutines compile
-// future slots ahead of enforcement (the plan is identical to sequential
-// compilation, only earlier).
+// Each slot is compiled incrementally from the previous one
+// (mpc.DeltaCompile) and enforced as one slot-delta batch per changed
+// satellite, with a full-snapshot re-sync for any agent that
+// (re-)registered or missed a command (southbound.DeltaEnforcer).
 //
 // Run one tinyleo-ctl and any number of tinyleo-sat agents against it:
 //
-//	tinyleo-ctl -listen 127.0.0.1:7601 -agents 8 -slots 4 -dt 300 -workers 4
+//	tinyleo-ctl -listen 127.0.0.1:7601 -agents 8 -slots 4 -dt 300
 //
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics —
 // merging the process-wide registry (MPC compile/repair series) with the
@@ -58,7 +59,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -189,8 +189,6 @@ func runController() {
 	agents := flag.Int("agents", 4, "number of satellite agents to wait for")
 	slots := flag.Int("slots", 4, "control slots to run")
 	dt := flag.Float64("dt", 300, "control slot duration (seconds of orbital time)")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines compiling future slots ahead of enforcement")
-	delta := flag.Bool("delta", false, "compile slots incrementally (DeltaCompile) and enforce them as per-satellite slot-delta batches with full-snapshot re-sync (agents must also run -delta)")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for agents")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace, /slo on this address (empty = telemetry off)")
 	traceOut := flag.String("trace-out", "", "write the span trace as JSONL to this file on exit")
@@ -232,10 +230,7 @@ func runController() {
 	// The delta enforcer chains onto OnRegister/OnCommandFailed, so it is
 	// installed before any agent can connect: a reconnect at any point
 	// forces that agent's next push to be a full-snapshot re-sync.
-	var enf *southbound.DeltaEnforcer
-	if *delta {
-		enf = southbound.NewDeltaEnforcer(ctl)
-	}
+	enf := southbound.NewDeltaEnforcer(ctl)
 
 	// Fleet aggregation is always on: agents that never push telemetry
 	// cost nothing, and the /fleet view plus the rollup registry are what
@@ -359,98 +354,65 @@ func runController() {
 		cli.Fatalf("tinyleo-ctl: %v\n", err)
 	}
 
-	// Failure hook: greedily re-link the reporter to the best alternative.
+	// Failure hook: tear the reported ISL down as a one-op slot delta
+	// through the enforcer, so its desired set stays what was sent (a
+	// later slot's delete of the same peer is then a no-op).
 	ctl.OnFailure = func(report *southbound.Message) []*southbound.Message {
 		fmt.Printf("failure report from sat %d (peer %d); repairing\n", report.SatID, report.Peer)
-		return []*southbound.Message{
-			{Type: southbound.MsgSetISL, SatID: report.SatID, Peer: report.Peer, Up: false},
+		if err := enf.Push(report.SatID, nil, []uint32{report.Peer}, time.Now(), obs.SpanContext{}); err != nil {
+			fmt.Fprintf(os.Stderr, "tinyleo-ctl: repair: %v\n", err)
 		}
+		return nil
 	}
 
-	// The horizon planner compiles future slots across a worker pool while
-	// the delivery callback (this goroutine) enforces the current one, so
-	// southbound pushes overlap compilation of later slots. With -delta,
-	// compilation is instead a sequential DeltaCompile chain (each slot
-	// warm-starts from the previous snapshot) and enforcement sends one
-	// slot-delta batch per changed satellite instead of one command per
-	// link endpoint.
+	// Each slot warm-starts from the previous snapshot; its link changes
+	// go out as one batch per changed satellite, in ascending satellite
+	// order.
 	var prev *mpc.Snapshot
-	deliver := func(s int, snap *mpc.Snapshot) {
-		t := snap.Time
+	for s := 0; s < *slots; s++ {
+		snap := compiler.DeltaCompile(prev, float64(s)**dt)
 		added, removed := mpc.DiffLinks(prev, snap)
 		prev = snap
 		fmt.Printf("slot %d (t=%.0fs): %d inter-cell ISLs, %d ring ISLs, %d changes, enforcement %.2f\n",
-			s, t, len(snap.InterLinks), len(snap.RingLinks), len(added)+len(removed),
+			s, snap.Time, len(snap.InterLinks), len(snap.RingLinks), len(added)+len(removed),
 			compiler.EnforcementRatio(snap))
 		// Push changes to the agents that are connected (agent IDs are
-		// satellite indices). Every command in this slot descends from one
+		// satellite indices). Every batch in this slot descends from one
 		// mpc.emit root span, so the merged cross-process trace shows the
 		// whole enforcement round as a single causal tree.
 		emit := obs.StartSpan("mpc.emit",
-			"slot", fmt.Sprint(s), "t", fmt.Sprintf("%.0f", t))
+			"slot", fmt.Sprint(s), "t", fmt.Sprintf("%.0f", snap.Time))
 		emitted := time.Now()
-		pushed := 0
-		if enf != nil {
-			// Group the slot's link ops into one batch per satellite,
-			// pushed in ascending satellite order for determinism.
-			adds, dels := map[int][]uint32{}, map[int][]uint32{}
-			for _, l := range added {
-				for _, end := range []int{l[0], l[1]} {
-					adds[end] = append(adds[end], uint32(l.Peer(end)))
-				}
+		adds, dels := map[int][]uint32{}, map[int][]uint32{}
+		for _, l := range added {
+			for _, end := range []int{l[0], l[1]} {
+				adds[end] = append(adds[end], uint32(l.Peer(end)))
 			}
-			for _, l := range removed {
-				for _, end := range []int{l[0], l[1]} {
-					dels[end] = append(dels[end], uint32(l.Peer(end)))
-				}
+		}
+		for _, l := range removed {
+			for _, end := range []int{l[0], l[1]} {
+				dels[end] = append(dels[end], uint32(l.Peer(end)))
 			}
-			sats := make([]int, 0, len(adds)+len(dels))
-			for sat := range adds {
+		}
+		sats := make([]int, 0, len(adds)+len(dels))
+		for sat := range adds {
+			sats = append(sats, sat)
+		}
+		for sat := range dels {
+			if _, ok := adds[sat]; !ok {
 				sats = append(sats, sat)
 			}
-			for sat := range dels {
-				if _, ok := adds[sat]; !ok {
-					sats = append(sats, sat)
-				}
-			}
-			sort.Ints(sats)
-			for _, sat := range sats {
-				if err := enf.Push(uint32(sat), adds[sat], dels[sat], emitted, emit.Context()); err == nil {
-					pushed++
-				}
-			}
-		} else {
-			push := func(end int, peer uint32, up bool) {
-				m := &southbound.Message{
-					Type: southbound.MsgSetISL, SatID: uint32(end),
-					Peer: peer, Up: up,
-					Trace: emit.Context(), Emitted: emitted,
-				}
-				if err := ctl.Send(m); err == nil {
-					pushed++
-				}
-			}
-			for _, l := range added {
-				for _, end := range []int{l[0], l[1]} {
-					push(end, uint32(l.Peer(end)), true)
-				}
-			}
-			for _, l := range removed {
-				for _, end := range []int{l[0], l[1]} {
-					push(end, uint32(l.Peer(end)), false)
-				}
+		}
+		sort.Ints(sats)
+		pushed := 0
+		for _, sat := range sats {
+			if err := enf.Push(uint32(sat), adds[sat], dels[sat], emitted, emit.Context()); err == nil {
+				pushed++
 			}
 		}
 		emit.End()
 		fmt.Printf("  pushed %d commands to connected agents\n", pushed)
 		time.Sleep(200 * time.Millisecond)
-	}
-	if *delta {
-		for s := 0; s < *slots; s++ {
-			deliver(s, compiler.DeltaCompile(prev, float64(s)**dt))
-		}
-	} else {
-		compiler.HorizonStream(0, *dt, *slots, *workers, deliver)
 	}
 	fmt.Printf("totals: %d southbound messages\n", ctl.TotalMessages())
 	if *hold > 0 {

@@ -2,8 +2,8 @@
 // over the southbound API, prints and acknowledges every topology command,
 // and can inject a synthetic ISL failure report to exercise the repair
 // loop (§4.2's "repairing unpredictable failures"). Commands arrive per
-// control slot, in slot order — the controller's horizon planner compiles
-// ahead across workers but always delivers sequentially.
+// control slot, in slot order: one slot-delta batch of ISL changes per
+// slot, or a full slot snapshot when the controller re-syncs this agent.
 //
 //	tinyleo-sat -controller 127.0.0.1:7601 -id 3 -fail-peer 7 -fail-after 2s
 //
@@ -57,7 +57,6 @@ func main() {
 	recordOut := flag.String("record-out", "", "write a flight recording to this file on exit (.gz = gzip)")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
 	fleetInterval := flag.Duration("fleet-interval", time.Second, "push fleet telemetry reports to the controller at this interval (0 = off)")
-	delta := flag.Bool("delta", false, "apply slot-delta/slot-snapshot enforcement batches to the dataplane view (pair with tinyleo-ctl -delta)")
 	syncURL := flag.String("sync", "", "testground sync service URL: resolve the controller address from it and hold at the start barrier before dialing (overrides -controller)")
 	flag.Parse()
 
@@ -178,10 +177,6 @@ func main() {
 			setISL(m.Peer, m.Up)
 			fmt.Printf("sat %d: ISL to %d -> %s (seq %d)\n", *id, m.Peer, state, m.Seq)
 		case southbound.MsgSlotDelta:
-			if !*delta {
-				fmt.Printf("sat %d: ignoring slot-delta (run with -delta) (seq %d)\n", *id, m.Seq)
-				return
-			}
 			ops, err := southbound.DecodeSlotDelta(m.Payload)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tinyleo-sat: slot-delta: %v\n", err)
@@ -192,10 +187,6 @@ func main() {
 			}
 			fmt.Printf("sat %d: slot delta applied, %d ops (seq %d)\n", *id, len(ops), m.Seq)
 		case southbound.MsgSlotSnapshot:
-			if !*delta {
-				fmt.Printf("sat %d: ignoring slot-snapshot (run with -delta) (seq %d)\n", *id, m.Seq)
-				return
-			}
 			peers, err := southbound.DecodeSlotSnapshot(m.Payload)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tinyleo-sat: slot-snapshot: %v\n", err)

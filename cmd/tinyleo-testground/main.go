@@ -1,5 +1,5 @@
 // Command tinyleo-testground is the distributed campaign runner: it
-// reads a declarative test-plan manifest (JSON or TOML), launches one
+// reads a declarative JSON test-plan manifest, launches one
 // real tinyleo-ctl controller plus N real tinyleo-sat agent processes
 // over the real TCP southbound, coordinates startup through a sync
 // service (HTTP barrier + parameter distribution), injects faults by
@@ -9,12 +9,12 @@
 //
 //	tinyleo-testground -plan plans/smoke.json -out runs/smoke
 //
-// Virtual-mode plans (mode = "virtual") drive the in-process chaos
+// Virtual-mode plans ("mode": "virtual") drive the in-process chaos
 // engine on a virtual clock instead of real processes: the same
 // manifest and seed produce a byte-identical report.json, which is the
 // determinism contract CI diffs.
 //
-//	tinyleo-testground -plan plans/storm.toml -out runs/storm
+//	tinyleo-testground -plan plans/storm.json -out runs/storm
 //
 // Exit status: 0 when the run passed its SLO rules, 1 on breach or
 // orchestration failure, 2 on usage errors. The scored report lands in
@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	plan := flag.String("plan", "", "test-plan manifest to run (.json or .toml; required)")
+	plan := flag.String("plan", "", "test-plan manifest to run (.json; required)")
 	out := flag.String("out", "", "run directory for artifacts and the scored report (default testground-<name>)")
 	ctlBin := flag.String("ctl-bin", "tinyleo-ctl", "tinyleo-ctl binary to launch (exec mode)")
 	satBin := flag.String("sat-bin", "tinyleo-sat", "tinyleo-sat binary to launch (exec mode)")
@@ -40,7 +40,7 @@ func main() {
 	verbose := flag.Bool("v", false, "stream orchestration progress to stderr")
 	flag.Parse()
 	if *plan == "" || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: tinyleo-testground -plan <manifest.{json,toml}> [-out dir] [-v]")
+		fmt.Fprintln(os.Stderr, "usage: tinyleo-testground -plan <manifest.json> [-out dir] [-v]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}

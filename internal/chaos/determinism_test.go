@@ -27,10 +27,10 @@ func networkFingerprint(n *dataplane.Network) string {
 }
 
 // Regression for testbed construction depending on map iteration order:
-// buildNetwork used to assign each gateway satellite's home cell from
-// whichever snapshot.Gateways key came up first, so two testbeds built
-// from the same config could disagree on homes — and with them ring
-// membership and the whole emulated topology.
+// the network builder (now mpc.BuildNetwork) used to assign each gateway
+// satellite's home cell from whichever snapshot.Gateways key came up
+// first, so two testbeds built from the same config could disagree on
+// homes — and with them ring membership and the whole emulated topology.
 func TestTestbedBuildIsDeterministic(t *testing.T) {
 	build := func() string {
 		tb, err := NewTestbed(testTestbed)

@@ -140,7 +140,10 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	snap := ctl.Compile(0)
 
 	tb := &Testbed{Cfg: cfg, Sats: sats, Topo: topo, Ctl: ctl, Snap: snap}
-	tb.Net = tb.buildNetwork(snap)
+	tb.Net = dataplane.NewNetwork()
+	tb.Net.ISLRateBps = cfg.ISLRateBps
+	tb.Net.QueueLimit = cfg.QueueLimit
+	mpc.BuildNetwork(tb.Net, snap, sats)
 	for cell, members := range snap.CellSats {
 		if len(members) > 0 {
 			tb.Cells = append(tb.Cells, cell)
@@ -151,116 +154,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		return nil, fmt.Errorf("chaos: testbed has %d populated cells", len(tb.Cells))
 	}
 	return tb, nil
-}
-
-// buildNetwork materializes a snapshot as an emulated data plane:
-// gateway satellites homed to their duty cells, ISLs with physical
-// propagation delays, and the per-cell gateway rings.
-func (tb *Testbed) buildNetwork(snap *mpc.Snapshot) *dataplane.Network {
-	n := dataplane.NewNetwork()
-	n.ISLRateBps = tb.Cfg.ISLRateBps
-	n.QueueLimit = tb.Cfg.QueueLimit
-	// Gateway keys sorted: a satellite can hold duty under more than one
-	// edge key (repair can double-book), and the first key seen decides
-	// its home cell — iterating the map here made the emulated network
-	// differ run to run.
-	gwKeys := make([][2]int, 0, len(snap.Gateways))
-	for key := range snap.Gateways {
-		gwKeys = append(gwKeys, key)
-	}
-	sort.Slice(gwKeys, func(i, j int) bool {
-		if gwKeys[i][0] != gwKeys[j][0] {
-			return gwKeys[i][0] < gwKeys[j][0]
-		}
-		return gwKeys[i][1] < gwKeys[j][1]
-	})
-	for _, key := range gwKeys {
-		for _, s := range snap.Gateways[key] {
-			if n.Sats[s] == nil {
-				n.AddSatellite(s, key[0])
-			}
-		}
-	}
-	for _, l := range snap.Links() {
-		if n.Sats[l[0]] == nil || n.Sats[l[1]] == nil || n.Link(l[0], l[1]) != nil {
-			continue
-		}
-		n.Connect(l[0], l[1], tb.linkDelay(l, snap.Time))
-	}
-	for _, cell := range snapshotCells(snap) {
-		if ring := ringOrder(n, snap, cell); len(ring) >= 2 {
-			n.SetRing(ring)
-		}
-	}
-	return n
-}
-
-// linkDelay is the speed-of-light one-way delay of a candidate ISL at t.
-func (tb *Testbed) linkDelay(l mpc.Link, t float64) float64 {
-	return orbit.PropagationDelay(
-		tb.Sats[l[0]].PositionECI(t), tb.Sats[l[1]].PositionECI(t))
-}
-
-// snapshotCells returns the snapshot's gateway home cells, ascending.
-func snapshotCells(snap *mpc.Snapshot) []int {
-	seen := map[int]bool{}
-	for key := range snap.Gateways {
-		seen[key[0]] = true
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ringOrder reconstructs the cyclic order of a cell's gateway ring from
-// the snapshot's ring links, using the network's home-cell assignment for
-// membership.
-func ringOrder(n *dataplane.Network, snap *mpc.Snapshot, cell int) []int {
-	inCell := map[int]bool{}
-	for id, s := range n.Sats {
-		if s.Cell == cell {
-			inCell[id] = true
-		}
-	}
-	adj := map[int][]int{}
-	for _, l := range snap.RingLinks {
-		if inCell[l[0]] && inCell[l[1]] {
-			adj[l[0]] = append(adj[l[0]], l[1])
-			adj[l[1]] = append(adj[l[1]], l[0])
-		}
-	}
-	if len(adj) < 2 {
-		return nil
-	}
-	start := -1
-	for s := range adj {
-		if start == -1 || s < start {
-			start = s
-		}
-	}
-	order := []int{start}
-	prev, cur := -1, start
-	for {
-		next := -1
-		for _, nb := range adj[cur] {
-			if nb != prev {
-				next = nb
-				break
-			}
-		}
-		if next == -1 || next == start {
-			break
-		}
-		order = append(order, next)
-		prev, cur = cur, next
-		if len(order) > len(adj) {
-			break // safety against malformed rings
-		}
-	}
-	return order
 }
 
 // gatewayOf returns an injection satellite for a cell under snap: one of

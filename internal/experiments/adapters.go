@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -29,117 +28,12 @@ func RealizeConstellation(lib *texture.Library, res *core.Result) []orbit.Elemen
 	return sats
 }
 
-// NetworkFromSnapshot builds an emulated data plane from an MPC snapshot:
-// satellites with their home cells, ISLs with physical propagation delays,
-// and the per-cell gateway rings.
+// NetworkFromSnapshot builds an emulated data plane from an MPC snapshot
+// (mpc.BuildNetwork) with the default link rate and queue sizes.
 func NetworkFromSnapshot(snap *mpc.Snapshot, sats []orbit.Elements) *dataplane.Network {
 	n := dataplane.NewNetwork()
-	// A satellite's forwarding identity is the cell whose gateway duty it
-	// holds (satellites cover many cells, but hold at most one gateway
-	// assignment; non-gateway satellites have no ISLs and are omitted).
-	// Gateway keys sorted: a satellite can hold duty under more than one
-	// edge key (repair can double-book), and the first key seen decides
-	// its home cell — iterating the map here made the emulated network
-	// differ run to run.
-	gwKeys := make([][2]int, 0, len(snap.Gateways))
-	for key := range snap.Gateways {
-		gwKeys = append(gwKeys, key)
-	}
-	sort.Slice(gwKeys, func(i, j int) bool {
-		if gwKeys[i][0] != gwKeys[j][0] {
-			return gwKeys[i][0] < gwKeys[j][0]
-		}
-		return gwKeys[i][1] < gwKeys[j][1]
-	})
-	for _, key := range gwKeys {
-		for _, s := range snap.Gateways[key] {
-			if n.Sats[s] == nil {
-				n.AddSatellite(s, key[0])
-			}
-		}
-	}
-	addLink := func(l mpc.Link) {
-		if n.Sats[l[0]] == nil || n.Sats[l[1]] == nil {
-			return
-		}
-		if n.Link(l[0], l[1]) != nil {
-			return
-		}
-		d := orbit.PropagationDelay(
-			sats[l[0]].PositionECI(snap.Time), sats[l[1]].PositionECI(snap.Time))
-		n.Connect(l[0], l[1], d)
-	}
-	for _, l := range snap.InterLinks {
-		addLink(l)
-	}
-	for _, l := range snap.RingLinks {
-		addLink(l)
-	}
-	// Install ring successor pointers per cell by walking the ring links.
-	cellsSeen := map[int]bool{}
-	for key := range snap.Gateways {
-		cellsSeen[key[0]] = true
-	}
-	cells := make([]int, 0, len(cellsSeen))
-	for cell := range cellsSeen {
-		cells = append(cells, cell)
-	}
-	sort.Ints(cells)
-	for _, cell := range cells {
-		ring := ringOrder(n, snap, cell)
-		if len(ring) >= 2 {
-			n.SetRing(ring)
-		}
-	}
+	mpc.BuildNetwork(n, snap, sats)
 	return n
-}
-
-// ringOrder reconstructs the cyclic order of a cell's ring from RingLinks,
-// using the network's gateway-cell assignment for membership.
-func ringOrder(n *dataplane.Network, snap *mpc.Snapshot, cell int) []int {
-	inCell := map[int]bool{}
-	for id, s := range n.Sats {
-		if s.Cell == cell {
-			inCell[id] = true
-		}
-	}
-	adj := map[int][]int{}
-	for _, l := range snap.RingLinks {
-		if inCell[l[0]] && inCell[l[1]] {
-			adj[l[0]] = append(adj[l[0]], l[1])
-			adj[l[1]] = append(adj[l[1]], l[0])
-		}
-	}
-	if len(adj) < 2 {
-		return nil
-	}
-	// Walk the cycle (or chain) starting from the smallest member.
-	start := -1
-	for s := range adj {
-		if start == -1 || s < start {
-			start = s
-		}
-	}
-	order := []int{start}
-	prev, cur := -1, start
-	for {
-		next := -1
-		for _, nb := range adj[cur] {
-			if nb != prev {
-				next = nb
-				break
-			}
-		}
-		if next == -1 || next == start {
-			break
-		}
-		order = append(order, next)
-		prev, cur = cur, next
-		if len(order) > len(adj) {
-			break // safety against malformed rings
-		}
-	}
-	return order
 }
 
 // StarlinkGridTopology builds the standard "+Grid" motif of Figure 19a for

@@ -14,11 +14,8 @@ import (
 // recorder's SLO verdicts. Same seed → identical rows (the campaign
 // engine is deterministic; see internal/chaos). The returned map holds
 // each scenario's final fleet summary, keyed by scenario name — the
-// artifact tinyleo-bench -chaos-fleet-out dumps. delta enforces each
-// round's repair diff as per-satellite slot-delta batches instead of
-// per-link SetISL commands (tinyleo-bench -chaos-delta); the campaign
-// stays deterministic either way.
-func ChaosCampaign(scale Scale, scenarioName string, seed int64, delta bool) ([]*metrics.Table, map[string]*chaos.FleetSummary, error) {
+// artifact tinyleo-bench -chaos-fleet-out dumps.
+func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Table, map[string]*chaos.FleetSummary, error) {
 	names := chaos.ScenarioNames()
 	if scenarioName != "" && scenarioName != "all" {
 		names = []string{scenarioName}
@@ -29,12 +26,8 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64, delta bool) ([]
 		Slots:       scale.ControlSlots,
 		SlotSeconds: scale.ControlDt,
 	}
-	mode := ""
-	if delta {
-		mode = ", delta enforcement"
-	}
 	summary := metrics.NewTable(
-		fmt.Sprintf("Chaos campaigns (seed %d, %s scale%s)", seed, scale.Name, mode),
+		fmt.Sprintf("Chaos campaigns (seed %d, %s scale)", seed, scale.Name),
 		"scenario", "rounds", "faults", "delivery ratio", "recovery p50 (ms)",
 		"recovery p99 (ms)", "unrecovered", "retransmits", "ack timeouts",
 		"reconnects", "enforcement", "SLO")
@@ -49,7 +42,7 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64, delta bool) ([]
 		if err != nil {
 			return nil, nil, err
 		}
-		rep, err := chaos.Run(chaos.Campaign{Scenario: s, Seed: seed, Testbed: cfg, Delta: delta})
+		rep, err := chaos.Run(chaos.Campaign{Scenario: s, Seed: seed, Testbed: cfg})
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: chaos %s: %w", name, err)
 		}

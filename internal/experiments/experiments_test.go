@@ -285,17 +285,3 @@ func TestFigure19bcd(t *testing.T) {
 		}
 	}
 }
-
-func TestHorizonThroughput(t *testing.T) {
-	tab, err := HorizonThroughput(Small, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := renderAll(t, tab)
-	if !strings.Contains(out, "sequential") || !strings.Contains(out, "parallel") {
-		t.Error("expected sequential and parallel rows")
-	}
-	if n := len(tab.BenchEntries()); n == 0 {
-		t.Error("no bench entries emitted")
-	}
-}

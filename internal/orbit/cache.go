@@ -8,7 +8,7 @@ import (
 	"repro/internal/geom"
 )
 
-// This file implements the propagation cache behind TinyLEO's horizon
+// This file implements the propagation cache behind TinyLEO's per-slot
 // compile (paper §4.2: the MPC "precomputes each satellite's serving
 // cells" offline and only assembles topologies online). Orbit propagation
 // and pairwise ISL-lifetime prediction dominate the compile cost; both
@@ -18,7 +18,7 @@ import (
 // changing a single output bit.
 
 // cacheShards spreads the memo maps over independently locked shards so
-// the horizon planner's worker pool does not serialize on one mutex.
+// concurrent Compile and Repair calls do not serialize on one mutex.
 const cacheShards = 64
 
 // maxShardEntries bounds each shard; a shard that grows past the bound is

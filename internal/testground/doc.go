@@ -4,7 +4,7 @@
 // in-tree counterpart of running a TestGround-style testbed against
 // the TinyLEO control plane.
 //
-// A plan (Manifest, parsed from JSON or TOML by Load) declares what to
+// A plan (Manifest, parsed from JSON by Load) declares what to
 // launch (agent count, control slots, constellation shape), what to
 // break when (a fault schedule), and what "good" means (a flight
 // recorder SLO rule spec). Two modes execute it:

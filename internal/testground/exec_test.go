@@ -4,10 +4,14 @@ package testground
 // one tinyleo-ctl plus three tinyleo-sat processes over the real TCP
 // southbound, kills one agent on schedule, and the scored report must
 // show the fault observed (a silent agent) and the SLO rules passing.
+// The agents run with default flags, so the test also checks that the
+// controller's slot-delta enforcement is applied, not just acked.
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs/fleet"
@@ -88,6 +92,17 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 		if !seen {
 			t.Errorf("artifact %s missing from inventory: %+v", name, rep.Artifacts)
 		}
+	}
+
+	// An acknowledged command is an applied one: sat 0, the only
+	// connected link endpoint of this topology, installs its first slot
+	// as a full slot snapshot.
+	satLog, err := os.ReadFile(filepath.Join(dir, "sat-0.log"))
+	if err != nil {
+		t.Fatalf("agent log: %v", err)
+	}
+	if !strings.Contains(string(satLog), "sat 0: slot snapshot applied") {
+		t.Errorf("sat-0.log records no applied slot snapshot:\n%s", satLog)
 	}
 
 	// The scored report file exists and reads back.

@@ -93,8 +93,6 @@ type Manifest struct {
 	// SlotSeconds is the control slot duration in orbital seconds
 	// (default 300).
 	SlotSeconds float64 `json:"slot_seconds,omitempty"`
-	// Workers is the horizon planner's worker pool size (default 2).
-	Workers int `json:"workers,omitempty"`
 
 	// Exec-mode process knobs.
 	//
@@ -162,9 +160,6 @@ func (m Manifest) FillDefaults() Manifest {
 	}
 	if m.SlotSeconds == 0 {
 		m.SlotSeconds = 300
-	}
-	if m.Workers == 0 {
-		m.Workers = 2
 	}
 	if m.RunForS == 0 {
 		m.RunForS = 120
@@ -269,9 +264,6 @@ func (m *Manifest) Validate() error {
 	if m.SlotSeconds <= 0 {
 		return fmt.Errorf("testground: manifest %q: slot_seconds = %g, want > 0", m.Name, m.SlotSeconds)
 	}
-	if m.Workers < 1 {
-		return fmt.Errorf("testground: manifest %q: workers = %d, want >= 1", m.Name, m.Workers)
-	}
 	for i, f := range m.Faults {
 		switch m.Mode {
 		case ModeExec:
@@ -306,30 +298,10 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Parse decodes a manifest from data. Format is "json" or "toml";
-// unknown keys are errors in both, so typos fail loudly instead of
-// silently running a default.
-func Parse(data []byte, format string) (*Manifest, error) {
-	var raw any
-	switch format {
-	case "json":
-		raw = json.RawMessage(data)
-	case "toml":
-		doc, err := parseTOML(data)
-		if err != nil {
-			return nil, err
-		}
-		raw = doc
-	default:
-		return nil, fmt.Errorf("testground: unknown manifest format %q (want json or toml)", format)
-	}
-	// TOML decodes to a generic document first; funneling both formats
-	// through JSON gives one set of field names and one strictness rule.
-	buf, err := json.Marshal(raw)
-	if err != nil {
-		return nil, fmt.Errorf("testground: manifest: %v", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(buf))
+// Parse decodes a JSON manifest. Unknown keys are errors, so typos fail
+// loudly instead of silently running a default.
+func Parse(data []byte) (*Manifest, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var m Manifest
 	if err := dec.Decode(&m); err != nil {
@@ -338,23 +310,16 @@ func Parse(data []byte, format string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Load reads, defaults, and validates a manifest file; the format comes
-// from the extension (.json or .toml).
+// Load reads, defaults, and validates a .json manifest file.
 func Load(path string) (*Manifest, error) {
+	if ext := filepath.Ext(path); ext != ".json" {
+		return nil, fmt.Errorf("testground: %s: unknown manifest extension %q (want .json)", path, ext)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var format string
-	switch ext := filepath.Ext(path); ext {
-	case ".json":
-		format = "json"
-	case ".toml":
-		format = "toml"
-	default:
-		return nil, fmt.Errorf("testground: %s: unknown manifest extension %q (want .json or .toml)", path, ext)
-	}
-	m, err := Parse(data, format)
+	m, err := Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

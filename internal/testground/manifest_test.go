@@ -31,31 +31,18 @@ func TestLoadGoldenValid(t *testing.T) {
 	}
 }
 
-// TestTOMLEquivalence pins the format contract: the TOML twin of a JSON
-// plan parses to the identical manifest.
-func TestTOMLEquivalence(t *testing.T) {
-	j, err := Load(filepath.Join("testdata", "valid-exec.json"))
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	tm, err := Load(filepath.Join("testdata", "valid-exec.toml"))
-	if err != nil {
-		t.Fatalf("toml: %v", err)
-	}
-	if !reflect.DeepEqual(j, tm) {
-		t.Errorf("json and toml twins diverge:\n json: %+v\n toml: %+v", j, tm)
-	}
-}
-
 func TestLoadGoldenInvalid(t *testing.T) {
 	cases := []struct {
 		file string
 		want string // substring of the error
 	}{
 		{"invalid-unknown-key.json", "unknown field"},
-		{"invalid-fault-kind.toml", "unknown exec fault kind"},
+		{"invalid-fault-kind.json", "unknown exec fault kind"},
 		{"invalid-agent-range.json", "out of range"},
-		{"invalid-slo.toml", "slo"},
+		{"invalid-slo.json", "slo"},
+		// No such file: JSON is the only plan format, so the extension
+		// is refused before the file is read.
+		{"plan.toml", "want .json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -76,7 +63,7 @@ func TestFillDefaults(t *testing.T) {
 	if m.Mode != ModeExec {
 		t.Errorf("mode = %q, want exec", m.Mode)
 	}
-	if m.Seed != 42 || m.Agents != 3 || m.Slots != 2 || m.SlotSeconds != 300 || m.Workers != 2 {
+	if m.Seed != 42 || m.Agents != 3 || m.Slots != 2 || m.SlotSeconds != 300 {
 		t.Errorf("core defaults: %+v", m)
 	}
 	if m.RunForS != 120 || m.FleetIntervalMS != 200 || m.FleetLagS != 2 || m.FleetSilentS != 5 {
@@ -141,7 +128,6 @@ func TestValidateRejects(t *testing.T) {
 		{"agents low", func(m *Manifest) { m.Agents = 0 }, "agents"},
 		{"agents high", func(m *Manifest) { m.Agents = 5000 }, "agents"},
 		{"slots", func(m *Manifest) { m.Slots = 0 }, "slots"},
-		{"workers", func(m *Manifest) { m.Workers = -1 }, "workers"},
 		{"negative fault time", func(m *Manifest) {
 			m.Faults = []FaultSpec{{AtS: -1, Kind: FaultKill}}
 		}, "at_s"},
@@ -162,63 +148,5 @@ func TestValidateRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestParseTOMLSubset(t *testing.T) {
-	doc, err := parseTOML([]byte(`
-# full line comment
-s = "a # not-a-comment \"quoted\""
-i = -3
-f = 0.5
-b = true
-arr = ["x", "y"]  # trailing comment
-
-[t]
-k = 1
-
-[t.nested]
-k = 2
-
-[[rows]]
-v = 1
-[[rows]]
-v = 2
-`))
-	if err != nil {
-		t.Fatalf("parseTOML: %v", err)
-	}
-	if doc["s"] != `a # not-a-comment "quoted"` || doc["i"] != int64(-3) || doc["f"] != 0.5 || doc["b"] != true {
-		t.Errorf("scalars: %+v", doc)
-	}
-	if !reflect.DeepEqual(doc["arr"], []any{"x", "y"}) {
-		t.Errorf("arr: %+v", doc["arr"])
-	}
-	tbl := doc["t"].(map[string]any)
-	if tbl["k"] != int64(1) || tbl["nested"].(map[string]any)["k"] != int64(2) {
-		t.Errorf("tables: %+v", tbl)
-	}
-	rows := doc["rows"].([]any)
-	if len(rows) != 2 || rows[1].(map[string]any)["v"] != int64(2) {
-		t.Errorf("rows: %+v", rows)
-	}
-}
-
-func TestParseTOMLErrors(t *testing.T) {
-	for _, bad := range []string{
-		"key",                  // no =
-		"a.b = 1",              // dotted assignment key
-		"k = ",                 // missing value
-		"k = [1,\n2]",          // multi-line array
-		"[t\nk = 1",            // unterminated header
-		"k = 1\nk = 2",         // duplicate key
-		"k = 1\n[k]\nv = 2",    // table conflicts with value
-		"[[r]]\nv=1\n[r]\nv=2", // table conflicts with array
-		"k = 2026-08-08",       // dates unsupported
-		`k = """multi`,         // multi-line string
-	} {
-		if _, err := parseTOML([]byte(bad)); err == nil {
-			t.Errorf("parseTOML(%q): wanted an error", bad)
-		}
 	}
 }

@@ -24,7 +24,7 @@ func TestRunVirtualDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign run in -short mode")
 	}
-	m := loadTestdata(t, "valid-virtual.toml")
+	m := loadTestdata(t, "valid-virtual.json")
 	read := func(dir string) (report, chaosRep []byte) {
 		t.Helper()
 		rep, err := RunVirtual(m, dir)
@@ -60,7 +60,7 @@ func TestRunVirtualSeedMatters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign run in -short mode")
 	}
-	m := loadTestdata(t, "valid-virtual.toml")
+	m := loadTestdata(t, "valid-virtual.json")
 	r1, err := RunVirtual(m, "")
 	if err != nil {
 		t.Fatalf("RunVirtual: %v", err)
@@ -87,7 +87,7 @@ func TestScenarioFor(t *testing.T) {
 	if s.Name != "mixed" || s.Rounds != 2 || s.SLO != "availability>=0.5" {
 		t.Errorf("named scenario overrides: %+v", s)
 	}
-	composed := loadTestdata(t, "valid-virtual.toml")
+	composed := loadTestdata(t, "valid-virtual.json")
 	s, err = scenarioFor(composed)
 	if err != nil {
 		t.Fatalf("scenarioFor composed: %v", err)

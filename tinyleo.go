@@ -265,9 +265,8 @@ type ISL = mpc.Link
 type OrbitCacheStats = orbit.CacheStats
 
 // NewController validates the config and creates an orbital MPC. The
-// controller's HorizonCompile/HorizonStream methods compile windows of
-// future slots across a worker pool with output identical to sequential
-// Compile calls.
+// controller's DeltaCompile method compiles each slot warm-started from
+// the previous slot's snapshot, with output identical to Compile.
 func NewController(cfg MPCConfig) (*MPCController, error) { return mpc.New(cfg) }
 
 // ---- Data plane (§4.3) ----
